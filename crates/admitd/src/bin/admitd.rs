@@ -37,10 +37,7 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(rest),
         "bench" => cmd_bench(rest),
         "check-metrics" => cmd_check_metrics(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+        "--help" | "-h" | "help" => print_usage(),
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     };
     match result {
@@ -76,6 +73,12 @@ state every --snapshot-every seconds (and on shutdown) for --restore
 after a crash; --release-on-disconnect frees a dropped client's calls.
 bench survives all of it with --retries reconnect attempts per
 connection and an optional per-request --deadline-ms.";
+
+/// Print the usage text to stdout (a successful `--help`).
+fn print_usage() -> Result<(), String> {
+    println!("{USAGE}");
+    Ok(())
+}
 
 /// Pop `--flag VALUE` pairs from an argument list.
 struct Args<'a> {
@@ -157,6 +160,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
             }
             "--restore" => restore = Some(args.value(flag)?.to_string()),
             "--release-on-disconnect" => server_config.release_on_disconnect = true,
+            "--help" | "-h" => return print_usage(),
             other => return Err(format!("unknown serve flag `{other}`\n{USAGE}")),
         }
     }
@@ -240,6 +244,7 @@ fn cmd_bench(rest: &[String]) -> Result<(), String> {
                 config.retry.deadline = Some(Duration::from_millis(ms));
             }
             "--json" => json = true,
+            "--help" | "-h" => return print_usage(),
             other => return Err(format!("unknown bench flag `{other}`\n{USAGE}")),
         }
     }

@@ -5,15 +5,16 @@
 //! path: a long-running TCP server that owns the authoritative
 //! per-cell [`BaseStation`](cellsim::BaseStation) counter state behind
 //! sharded locks, answers length-prefixed binary admission requests
-//! from many concurrent connections through the controllers'
-//! `decide_batch` one-snapshot contract, and exposes live Prometheus
+//! from many concurrent connections — one offer per frame, in order,
+//! through the same `cellsim::offer` core as the in-process engines —
+//! and exposes live Prometheus
 //! metrics (`/metrics`) and a JSON occupancy snapshot (`/state`) over
 //! plain HTTP/1.1 — `std::net` only, no async runtime.
 //!
 //! The crate splits into:
 //!
 //! - [`wire`] — the binary frame protocol (see `docs/SERVER.md`);
-//! - [`state`] — the sharded world, the micro-batching engine and the
+//! - [`state`] — the sharded world, its per-frame offer path and the
 //!   snapshot/restore checkpoint path (see `docs/FAULTS.md`);
 //! - [`server`] — accept loop, backpressure, HTTP endpoints, shutdown;
 //! - [`chaos`] — seeded, deterministic transport-fault injection;

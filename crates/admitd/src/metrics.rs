@@ -25,29 +25,25 @@ pub mod counter {
     pub const CONNECTIONS: CounterId = CounterId(6);
     /// HTTP requests served (all paths).
     pub const HTTP_REQUESTS: CounterId = CounterId(7);
-    /// `decide_batch` calls issued by the micro-batching engine.
-    pub const BATCHES: CounterId = CounterId(8);
     /// Connections the controller saw expire (implicit releases).
-    pub const EXPIRED: CounterId = CounterId(9);
+    pub const EXPIRED: CounterId = CounterId(8);
     /// Connections freed because their client disconnected
     /// (`--release-on-disconnect`).
-    pub const DISCONNECT_RELEASES: CounterId = CounterId(10);
+    pub const DISCONNECT_RELEASES: CounterId = CounterId(9);
     /// Chaos injections: connections reset before a response window.
-    pub const CHAOS_RESETS: CounterId = CounterId(11);
+    pub const CHAOS_RESETS: CounterId = CounterId(10);
     /// Chaos injections: response windows truncated mid-frame.
-    pub const CHAOS_TRUNCATIONS: CounterId = CounterId(12);
+    pub const CHAOS_TRUNCATIONS: CounterId = CounterId(11);
     /// Chaos injections: response windows delayed.
-    pub const CHAOS_DELAYS: CounterId = CounterId(13);
+    pub const CHAOS_DELAYS: CounterId = CounterId(12);
 }
 
 /// Histogram ids into [`SCHEMA`].
 pub mod histogram {
     use super::HistogramId;
 
-    /// Decisions covered by one `decide_batch` call (log2 buckets).
-    pub const BATCH_SIZE: HistogramId = HistogramId(0);
     /// Bench-client request → response latency, nanoseconds.
-    pub const CLIENT_LATENCY_NS: HistogramId = HistogramId(1);
+    pub const CLIENT_LATENCY_NS: HistogramId = HistogramId(0);
 }
 
 /// Gauge (high-water mark) ids into [`SCHEMA`].
@@ -123,11 +119,6 @@ pub static SCHEMA: Schema = Schema {
             labels: &[],
         },
         MetricDef {
-            name: "admitd_batches_total",
-            help: "decide_batch calls issued by the micro-batching engine",
-            labels: &[],
-        },
-        MetricDef {
             name: "admitd_expired_releases_total",
             help: "Connections released by holding-time expiry",
             labels: &[],
@@ -153,18 +144,11 @@ pub static SCHEMA: Schema = Schema {
             labels: &[("kind", "delay")],
         },
     ],
-    histograms: &[
-        MetricDef {
-            name: "admitd_batch_size",
-            help: "Decisions covered by one decide_batch call (log2 buckets)",
-            labels: &[],
-        },
-        MetricDef {
-            name: "admitd_client_latency_ns",
-            help: "Bench-client request to response latency in nanoseconds",
-            labels: &[],
-        },
-    ],
+    histograms: &[MetricDef {
+        name: "admitd_client_latency_ns",
+        help: "Bench-client request to response latency in nanoseconds",
+        labels: &[],
+    }],
     gauges: &[MetricDef {
         name: "admitd_open_connections_high_water",
         help: "High-water mark of concurrently open binary connections",
@@ -204,7 +188,7 @@ mod tests {
         let mut reg = Registry::for_schema(&SCHEMA);
         reg.add(counter::FRAMES_ADMIT, 3);
         reg.add(response_counter(Status::Accept), 2);
-        reg.observe(histogram::BATCH_SIZE, 17);
+        reg.observe(histogram::CLIENT_LATENCY_NS, 17);
         reg.high_water(gauge::OPEN_CONNECTIONS, 4);
         reg.span_ns(span::PROCESS, 12_345);
         lint_prometheus(&reg.snapshot().to_prometheus()).expect("clean exposition");

@@ -1,5 +1,5 @@
 //! The `admitd` TCP server: accept loop, per-connection protocol
-//! handlers, micro-batch window collection and backpressure.
+//! handlers, request-window collection and backpressure.
 //!
 //! # Connection model
 //!
@@ -9,14 +9,14 @@
 //! ([`crate::wire::MAGIC`]) starts a frame stream, anything else is
 //! served as one HTTP request ([`crate::http`]).
 //!
-//! # Micro-batching and backpressure
+//! # Request windows and backpressure
 //!
 //! The handler blocks for the first frame, then drains whatever
 //! complete frames the socket already buffered (one non-blocking fill)
 //! into a *bounded* window of [`ServerConfig::max_pending`] requests.
-//! The window is decided in one [`crate::state::World::process`] call
-//! — consecutive same-cell frames within it share `decide_batch`
-//! invocations — and every response is written back in request order.
+//! The window is applied in one [`crate::state::World::process`] call
+//! — every frame decided once, in order — and every response is written
+//! back in request order.
 //! Frames beyond the bound are answered with
 //! [`Status::Overload`](crate::wire::Status::Overload) *without*
 //! touching world state; nothing is ever buffered unboundedly.
@@ -62,7 +62,7 @@ pub fn global_shutdown_requested() -> bool {
 /// Tunables of the accept loop and connection handlers.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Bound on requests decided per micro-batch window; frames beyond
+    /// Bound on requests decided per request window; frames beyond
     /// it are shed with overload responses.
     pub max_pending: usize,
     /// Read timeout used to poll the shutdown flag on idle

@@ -1,5 +1,4 @@
-//! Authoritative per-cell counter state behind sharded locks, and the
-//! micro-batching decision engine.
+//! Authoritative per-cell counter state behind sharded locks.
 //!
 //! The server owns one [`BaseStation`] per cell in the dense
 //! [`CellIdx`](cellsim::geometry::CellIdx) layout `cellsim` uses,
@@ -10,30 +9,22 @@
 //! registry, so concurrent connections touching different shards never
 //! contend.
 //!
-//! # Micro-batching and the one-snapshot contract
+//! # One offer per frame
 //!
-//! [`World::process`] groups consecutive same-cell admit frames and
-//! drives them through one
-//! [`AdmissionController::decide_batch`](cellsim::AdmissionController::decide_batch)
-//! call where it can.  `decide_batch` answers against a *single* station
-//! snapshot, so a cached batch decision is only reusable while the
-//! station state is exactly the snapshot it was decided against.  The
-//! engine therefore re-batches from the current request onward whenever
-//! state changed — an admission or an expiry — and reuses the cached
-//! tail across the two state-preserving outcomes (policy rejections and
-//! capacity rejections).  Because `decide` never mutates (controllers
-//! learn only via `on_admitted`/`on_released`), the produced sequence
-//! is bit-identical to offering every request sequentially, which is
-//! exactly what `tests/determinism.rs` proves against the in-process
-//! engine.
+//! [`World::process`] takes consecutive same-cell admit frames under one
+//! shard lock and offers them one at a time, in order, through the same
+//! [`cellsim::offer`] core the simulation engines use: advance the cell
+//! clock and release expired calls, then `can_fit`, `decide`, and on
+//! accept `admit` and `on_admitted`.  Each frame is decided once, against
+//! the cell's state after every earlier frame, so the answers are
+//! bit-identical to the in-process engine's — which
+//! `tests/determinism.rs` proves frame by frame.
 
 use std::path::Path;
 use std::sync::Mutex;
 
-use cellsim::{
-    AdmissionDecision, AdmissionRequest, Bandwidth, BaseStation, BoxedController, CellGrid,
-    SimConfig,
-};
+use cellsim::offer::{advance, offer};
+use cellsim::{AdmissionRequest, Bandwidth, BaseStation, BoxedController, CellGrid, SimConfig};
 use serde::{Deserialize, Serialize};
 use telemetry::{Recorder, Registry, Stopwatch, TelemetrySnapshot};
 
@@ -87,12 +78,23 @@ struct Shard {
     clocks: Vec<f64>,
     controller: BoxedController,
     registry: Registry,
-    /// Scratch for `decide_batch` output.
-    decisions: Vec<AdmissionDecision>,
     /// Scratch for expired connections.
     expired: Vec<cellsim::station::ActiveConnection>,
-    /// Scratch for the admission requests of one group.
-    requests: Vec<AdmissionRequest>,
+}
+
+impl Shard {
+    /// Advance cell `local`'s clock to `time`, releasing expired calls.
+    fn advance(&mut self, local: usize, time: f64) {
+        advance(
+            &mut *self.controller,
+            &mut self.stations[local],
+            &mut self.clocks[local],
+            time,
+            &mut self.expired,
+        );
+        self.registry
+            .add(metrics::counter::EXPIRED, self.expired.len() as u64);
+    }
 }
 
 /// Occupancy snapshot of one cell, as served by `/state`.
@@ -170,9 +172,7 @@ impl World {
                 stations,
                 controller: build_controller(),
                 registry: Registry::for_schema(&SCHEMA),
-                decisions: Vec::new(),
                 expired: Vec::new(),
-                requests: Vec::new(),
             }));
             base = end;
         }
@@ -203,10 +203,9 @@ impl World {
     /// Apply a run of request frames, appending exactly one response
     /// per frame to `out`, in order.
     ///
-    /// Consecutive admit frames for the same cell are decided through
-    /// the micro-batching engine under one shard lock; everything else
-    /// is applied frame by frame.  Frames naming a cell outside the
-    /// grid get [`Status::Error`] responses.
+    /// Consecutive admit frames for the same cell are applied under one
+    /// shard lock; every frame is decided once, in order.  Frames naming
+    /// a cell outside the grid get [`Status::Error`] responses.
     pub fn process(&self, requests: &[Request], out: &mut Vec<Response>) {
         let mut i = 0;
         while i < requests.len() {
@@ -231,7 +230,8 @@ impl World {
         }
     }
 
-    /// Decide and apply one group of same-cell admit frames.
+    /// Decide and apply one group of same-cell admit frames, one frame at
+    /// a time, in order.
     fn admit_group(&self, group: &[Request], out: &mut Vec<Response>) {
         let cell = match group[0] {
             Request::Admit(f) => f.cell as usize,
@@ -245,133 +245,40 @@ impl World {
         let local = cell - shard.base;
         let watch = Stopwatch::started(true);
         let cell_id = shard.stations[local].cell();
-
-        shard.requests.clear();
         for request in group {
             let Request::Admit(frame) = request else {
                 unreachable!("admit_group only sees admit runs");
             };
             shard.registry.add(metrics::counter::FRAMES_ADMIT, 1);
-            shard.requests.push(admission_request(frame, cell_id));
-        }
-
-        // Index into `decisions` of the request the cached batch starts
-        // at; `None` = no valid cache (state changed since it was cut).
-        let mut cache_start: Option<usize> = None;
-        let requests = std::mem::take(&mut shard.requests);
-        for (k, request) in requests.iter().enumerate() {
-            // Advance the cell clock and complete expired calls, exactly
-            // as the sequential engine does before every offer.
-            let now = shard.clocks[local].max(request.time);
-            shard.clocks[local] = now;
-            let mut expired = std::mem::take(&mut shard.expired);
-            expired.clear();
-            shard.stations[local].release_expired_into(now, &mut expired);
-            if !expired.is_empty() {
-                cache_start = None;
-                shard
-                    .registry
-                    .add(metrics::counter::EXPIRED, expired.len() as u64);
-                for conn in &expired {
-                    shard
-                        .controller
-                        .on_released(conn.id, &shard.stations[local]);
-                }
-            }
-            shard.expired = expired;
-
-            let station = &shard.stations[local];
+            let request = admission_request(frame, cell_id);
+            shard.advance(local, request.time);
             // Idempotent replay: a client that reconnected after a lost
             // response window resends every unacknowledged frame, so an
             // id that is already admitted must answer Accept again
             // without re-admitting (or panicking on the duplicate).
-            // State is untouched, so the cached batch stays valid.
-            if station.connection(request.id).is_some() {
-                out.push(Response {
+            let response = if shard.stations[local].connection(request.id).is_some() {
+                Response {
                     status: Status::Accept,
                     id: request.id,
                     score: 0.0,
-                });
-                shard
-                    .registry
-                    .add(metrics::response_counter(Status::Accept), 1);
-                continue;
-            }
-            // Capacity screen first — the sequential engine never
-            // consults the controller for a request that cannot fit,
-            // and the rejection leaves state (and the cache) intact.
-            if !station.can_fit(request.bandwidth) {
-                out.push(Response {
-                    status: Status::Reject,
+                }
+            } else {
+                let decision = offer(&mut *shard.controller, &mut shard.stations[local], &request);
+                Response {
+                    status: if decision.accept {
+                        Status::Accept
+                    } else {
+                        Status::Reject
+                    },
                     id: request.id,
-                    score: -1.0,
-                });
-                shard
-                    .registry
-                    .add(metrics::response_counter(Status::Reject), 1);
-                continue;
-            }
-            let start = match cache_start {
-                Some(start) => start,
-                None => {
-                    // (Re-)decide the remaining tail against the current
-                    // snapshot in one batch.
-                    let Shard {
-                        controller,
-                        stations,
-                        decisions,
-                        registry,
-                        ..
-                    } = shard;
-                    controller.decide_batch(&requests[k..], &stations[local], decisions);
-                    registry.add(metrics::counter::BATCHES, 1);
-                    registry.observe(metrics::histogram::BATCH_SIZE, (requests.len() - k) as u64);
-                    cache_start = Some(k);
-                    k
+                    score: decision.score,
                 }
             };
-            let decision = shard.decisions[k - start];
-            if decision.accept {
-                shard.stations[local]
-                    .admit(
-                        request.id,
-                        request.class,
-                        request.bandwidth,
-                        request.time,
-                        request.holding_time,
-                        request.is_handoff,
-                    )
-                    .expect("admission checked via can_fit");
-                let Shard {
-                    controller,
-                    stations,
-                    ..
-                } = shard;
-                controller.on_admitted(request, &stations[local]);
-                // The admission changed both occupancy and controller
-                // state: the cached tail no longer matches a snapshot.
-                cache_start = None;
-                out.push(Response {
-                    status: Status::Accept,
-                    id: request.id,
-                    score: decision.score,
-                });
-                shard
-                    .registry
-                    .add(metrics::response_counter(Status::Accept), 1);
-            } else {
-                out.push(Response {
-                    status: Status::Reject,
-                    id: request.id,
-                    score: decision.score,
-                });
-                shard
-                    .registry
-                    .add(metrics::response_counter(Status::Reject), 1);
-            }
+            shard
+                .registry
+                .add(metrics::response_counter(response.status), 1);
+            out.push(response);
         }
-        shard.requests = requests;
-        shard.requests.clear();
         if let Some(ns) = watch.elapsed_ns() {
             shard.registry.span_ns(metrics::span::PROCESS, ns);
         }
@@ -386,22 +293,7 @@ impl World {
         let shard = &mut *self.shards[self.shard_of(cell)].lock().expect("shard lock");
         let local = cell - shard.base;
         shard.registry.add(metrics::counter::FRAMES_RELEASE, 1);
-        let now = shard.clocks[local].max(time);
-        shard.clocks[local] = now;
-        let mut expired = std::mem::take(&mut shard.expired);
-        expired.clear();
-        shard.stations[local].release_expired_into(now, &mut expired);
-        if !expired.is_empty() {
-            shard
-                .registry
-                .add(metrics::counter::EXPIRED, expired.len() as u64);
-            for conn in &expired {
-                shard
-                    .controller
-                    .on_released(conn.id, &shard.stations[local]);
-            }
-        }
-        shard.expired = expired;
+        shard.advance(local, time);
         let response = match shard.stations[local].release(id) {
             Ok(_) => {
                 let Shard {
@@ -686,9 +578,9 @@ mod tests {
             .collect()
     }
 
-    /// Submitting a whole group at once (micro-batched) must answer
-    /// exactly like submitting the same frames one by one (pure
-    /// sequential path), for every shipped controller.
+    /// Submitting a whole group at once (one lock) must answer exactly
+    /// like submitting the same frames one by one, for every shipped
+    /// controller.
     #[test]
     fn batched_processing_matches_frame_at_a_time() {
         let specs = [

@@ -118,3 +118,17 @@ fn help_exits_zero_and_documents_the_robustness_flags() {
         assert!(text.contains(flag), "usage must document {flag}");
     }
 }
+
+#[test]
+fn subcommand_help_prints_usage_and_exits_zero() {
+    for command in ["serve", "bench"] {
+        let out = admitd(&[command, "--help"]);
+        assert!(
+            out.status.success(),
+            "`admitd {command} --help` must succeed: {}",
+            stderr(&out)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(text.contains("USAGE"), "`admitd {command} --help`: {text}");
+    }
+}

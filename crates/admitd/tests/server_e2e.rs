@@ -91,7 +91,7 @@ fn metrics_endpoint_lints_clean_and_state_reports_occupancy() {
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     telemetry::lint_prometheus(&body).expect("valid Prometheus exposition");
     assert!(body.contains("admitd_frames_total"), "{body}");
-    assert!(body.contains("admitd_batches_total"), "{body}");
+    assert!(body.contains("admitd_expired_releases_total"), "{body}");
 
     let (head, body) = http_get(running.addr, "/state");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");

@@ -1,13 +1,13 @@
 //! Criterion suite over the admission hot path: one benchmark per
 //! execution model (interpreted, compiled, LUT) at each layer (single
-//! inference, decision, end-to-end controller `decide` / `decide_batch`).
+//! inference, decision, end-to-end controller `decide`).
 //!
 //! The `perf` bin times the same paths with plain `Instant` loops and
 //! writes the `BENCH_perf.json` baseline; this suite is the interactive
 //! `cargo bench -p facs-bench --bench perf` view.
 
 use cellsim::geometry::CellId;
-use cellsim::sim::{AdmissionController, AdmissionDecision, AdmissionRequest};
+use cellsim::sim::{AdmissionController, AdmissionRequest};
 use cellsim::station::BaseStation;
 use cellsim::traffic::ServiceClass;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -93,40 +93,9 @@ fn bench_controller_decide(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_decide_batch(c: &mut Criterion) {
-    let station = BaseStation::paper_default();
-    let batch: Vec<AdmissionRequest> = (0..32)
-        .map(|i| {
-            request(
-                [ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video][i % 3],
-                3.75 * i as f64,
-                11.25 * i as f64 - 180.0,
-            )
-        })
-        .collect();
-    let mut out: Vec<AdmissionDecision> = Vec::with_capacity(batch.len());
-
-    let mut group = c.benchmark_group("decide_batch(32)");
-    let mut facsp = FacsPController::paper_default();
-    group.bench_function("facs-p", |b| {
-        b.iter(|| {
-            facsp.decide_batch(black_box(&batch), black_box(&station), &mut out);
-            black_box(out.len())
-        })
-    });
-    let mut facsp_lut = FacsPController::paper_default_lut();
-    group.bench_function("facs-p-lut", |b| {
-        b.iter(|| {
-            facsp_lut.decide_batch(black_box(&batch), black_box(&station), &mut out);
-            black_box(out.len())
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     name = perf;
     config = Criterion::default().sample_size(50);
-    targets = bench_inference_models, bench_lut_decision, bench_controller_decide, bench_decide_batch
+    targets = bench_inference_models, bench_lut_decision, bench_controller_decide
 );
 criterion_main!(perf);

@@ -3,7 +3,7 @@
 //! [`run`] measures the admission hot path at each layer of the
 //! compile/execute split — the string-keyed interpreted engine, the
 //! compiled allocation-free engine, the LUT backend, and the end-to-end
-//! `decide` / `decide_batch` of every controller — and [`PerfReport`]
+//! `decide` of every controller — and [`PerfReport`]
 //! serialises the result as the `BENCH_perf.json` artifact the `perf` bin
 //! writes.  CI runs the quick mode and fails when the artifact is empty or
 //! malformed, so the perf trajectory of the hot path is tracked across
@@ -12,9 +12,7 @@
 use admitd::{BenchConfig, Server, ServerConfig, World, WorldConfig};
 use cellsim::geometry::CellId;
 use cellsim::shard::{ShardConfig, ShardedSimulator};
-use cellsim::sim::{
-    AdmissionController, AdmissionDecision, AdmissionRequest, AlwaysAccept, SimConfig, Simulator,
-};
+use cellsim::sim::{AdmissionController, AdmissionRequest, AlwaysAccept, SimConfig, Simulator};
 use cellsim::station::BaseStation;
 use cellsim::telemetry::{
     LabelPair, NoopRecorder, Recorder, Registry, SpanSnapshot, TelemetrySnapshot,
@@ -92,7 +90,7 @@ pub struct PerfReport {
     pub metro: Vec<ShardThroughput>,
     /// Decision throughput of the `admitd` server over loopback TCP:
     /// scenario replay through the pipelined binary protocol and the
-    /// micro-batched `decide_batch` path, best observed requests per
+    /// one-at-a-time offer path, best observed requests per
     /// second across the `server/` cases.  Defaults to 0 when loading a
     /// baseline recorded before the server existed.
     #[serde(default)]
@@ -685,11 +683,10 @@ fn time_metro_events(threads: usize, quick: bool) -> (PerfCase, ShardThroughput)
 /// case claims to measure.  The world's capacity is raised far above
 /// the paper's 50 BU so the steady-state population (arrival rate x
 /// holding time, well under the limit) never saturates the station —
-/// every frame reaches the controller through the micro-batched
-/// `decide_batch` path instead of dying on the cheap `can_fit`
-/// fast-reject.  The per-connection request count is part of the case
-/// name: quick and full mode time different workloads, and
-/// [`compare_reports`] must never mix them.
+/// every frame reaches the controller's `decide` instead of dying on
+/// the cheap `can_fit` fast-reject.  The per-connection request count is
+/// part of the case name: quick and full mode time different workloads,
+/// and [`compare_reports`] must never mix them.
 fn time_server_requests(connections: usize, quick: bool) -> PerfCase {
     let requests_per_connection = if quick { 5_000 } else { 25_000 };
     let runs = if quick { 2 } else { 3 };
@@ -854,38 +851,6 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
         scc.decide(std::hint::black_box(&req), std::hint::black_box(&station))
             .score
     }));
-
-    // --- batch path: one tick's arrivals in one decide_batch pass -------
-    let batch: Vec<AdmissionRequest> = (0..32)
-        .map(|i| {
-            probe_request(
-                [ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video][i % 3],
-                3.75 * i as f64,
-                11.25 * i as f64 - 180.0,
-            )
-        })
-        .collect();
-    let mut decisions: Vec<AdmissionDecision> = Vec::with_capacity(batch.len());
-    // Each timed iteration decides the whole 32-request batch, but every
-    // neighbouring case in the table is per-decision, so the case reports
-    // ns *per decision* (whole-batch time / 32) and says so in its name —
-    // a new name, so `--check` never compares it against the old
-    // whole-batch baseline entries.
-    let mut batch_case = time_case(
-        "controller/facs-p decide_batch(32, ns/decision)",
-        iters / 16,
-        || {
-            facsp.decide_batch(
-                std::hint::black_box(&batch),
-                std::hint::black_box(&station),
-                &mut decisions,
-            );
-            decisions[0].score
-        },
-    );
-    batch_case.ns_per_iter /= batch.len() as f64;
-    batch_case.iters *= batch.len() as u64;
-    cases.push(batch_case);
 
     // --- the headline: interpreted vs compiled/LUT full cascade ---------
     let interpreted_cascade = {

@@ -4,12 +4,12 @@
 //! monotonically increasing sequence number so insertion order is preserved
 //! and the simulation stays deterministic.
 //!
-//! Events are small `Copy` values: an arrival references its
-//! [`crate::traffic::CallRequest`] by index into the run's pre-generated
-//! arrival buffer instead of owning a clone, and departures/handoffs carry
-//! a dense [`CellIdx`] plus the connection's user [`SlotId`] handle.  The
-//! queue's backing heap keeps its capacity across [`EventQueue::clear`], so
-//! a warmed-up simulator schedules and pops events without allocating.
+//! Only run-time events live here — departures and handoffs; arrivals,
+//! utilisation ticks and faults are streamed from sorted buffers by the
+//! engines.  Events are small `Copy` values carrying a dense [`CellIdx`]
+//! plus the connection's user [`SlotId`] handle.  The queue's backing heap
+//! keeps its capacity across [`EventQueue::clear`], so a warmed-up
+//! simulator schedules and pops events without allocating.
 
 use crate::geometry::CellIdx;
 use crate::slab::SlotId;
@@ -22,13 +22,6 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum EventKind {
-    /// A new call request arrives in `cell`.
-    Arrival {
-        /// Dense index of the cell where the request is made.
-        cell: CellIdx,
-        /// Index of the request in the run's arrival buffer.
-        call: u32,
-    },
     /// An admitted connection completes normally.
     Departure {
         /// Dense index of the cell scheduled to serve the connection at
@@ -52,10 +45,6 @@ pub enum EventKind {
         /// The connection's user-state slot.
         user: SlotId,
     },
-    /// Periodic mobility update (multi-cell scenarios).
-    MobilityTick,
-    /// End of the simulation.
-    EndOfSimulation,
 }
 
 /// A timestamped event.
@@ -161,19 +150,20 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    fn arrival(id: u32) -> EventKind {
-        EventKind::Arrival {
+    fn departure(id: u64) -> EventKind {
+        EventKind::Departure {
             cell: CellIdx(0),
-            call: id,
+            connection_id: id,
+            user: None,
         }
     }
 
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(10.0, EventKind::MobilityTick);
-        q.schedule(5.0, EventKind::EndOfSimulation);
-        q.schedule(7.5, arrival(1));
+        q.schedule(10.0, departure(0));
+        q.schedule(5.0, departure(1));
+        q.schedule(7.5, departure(2));
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop().unwrap().time, 5.0);
         assert_eq!(q.pop().unwrap().time, 7.5);
@@ -184,12 +174,12 @@ mod tests {
     #[test]
     fn ties_are_broken_by_insertion_order() {
         let mut q = EventQueue::new();
-        q.schedule(1.0, arrival(100));
-        q.schedule(1.0, arrival(200));
-        q.schedule(1.0, arrival(300));
-        let ids: Vec<u32> = (0..3)
+        q.schedule(1.0, departure(100));
+        q.schedule(1.0, departure(200));
+        q.schedule(1.0, departure(300));
+        let ids: Vec<u64> = (0..3)
             .map(|_| match q.pop().unwrap().kind {
-                EventKind::Arrival { call, .. } => call,
+                EventKind::Departure { connection_id, .. } => connection_id,
                 _ => unreachable!(),
             })
             .collect();
@@ -199,7 +189,7 @@ mod tests {
     #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
-        q.schedule(3.0, EventKind::MobilityTick);
+        q.schedule(3.0, departure(0));
         assert_eq!(q.peek().unwrap().time, 3.0);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
@@ -208,8 +198,8 @@ mod tests {
     #[test]
     fn bad_times_are_clamped() {
         let mut q = EventQueue::new();
-        q.schedule(-5.0, EventKind::MobilityTick);
-        q.schedule(f64::NAN, EventKind::EndOfSimulation);
+        q.schedule(-5.0, departure(0));
+        q.schedule(f64::NAN, departure(1));
         assert_eq!(q.pop().unwrap().time, 0.0);
         assert_eq!(q.pop().unwrap().time, 0.0);
     }
@@ -218,22 +208,20 @@ mod tests {
     fn clear_empties_queue_and_keeps_capacity() {
         let mut q = EventQueue::new();
         for i in 0..64 {
-            q.schedule(f64::from(i), EventKind::MobilityTick);
+            q.schedule(f64::from(i), departure(0));
         }
         let cap = q.capacity();
         q.clear();
         assert!(q.is_empty());
         assert!(q.capacity() >= cap, "clear must keep the backing storage");
         // Sequence numbers restart, so replays are bit-identical.
-        q.schedule(1.0, arrival(1));
+        q.schedule(1.0, departure(1));
         assert_eq!(q.pop().unwrap().sequence, 0);
     }
 
     #[test]
     fn events_are_small_copy_values() {
-        // The whole point of indexing arrivals instead of owning them: an
-        // event moves a few machine words through the heap, not a cloned
-        // CallRequest.
+        // An event moves a few machine words through the heap.
         assert!(
             std::mem::size_of::<Event>() <= 48,
             "Event grew to {} bytes",

@@ -33,6 +33,8 @@
 //!   capacity degradation), folded into both engines as a fourth merge
 //!   stream.
 //! * [`slab`] — generational slab storage for per-connection state.
+//! * [`offer`] — the admission offer core (`can_fit` → `decide` → `admit`
+//!   → `on_admitted`) every engine and the `admitd` server share.
 //! * [`sim`] — the simulation driver and the [`AdmissionController`] trait.
 //! * [`shard`] — the spatially sharded, epoch-synchronised parallel engine
 //!   for metro-scale runs (bit-identical for any shard/thread count).
@@ -52,6 +54,7 @@ pub mod fault;
 pub mod geometry;
 pub mod metrics;
 pub mod mobility;
+pub mod offer;
 pub mod rng;
 pub mod shard;
 pub mod sim;

@@ -559,31 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn decide_batch_matches_decide_on_a_snapshot() {
-        let mut facsp = FacsPController::paper_default();
-        let mut station = BaseStation::paper_default();
-        fill_station(&mut station, 18);
-        let requests: Vec<AdmissionRequest> = (0..16)
-            .map(|i| {
-                request(
-                    i,
-                    [ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video]
-                        [(i % 3) as usize],
-                    7.5 * i as f64,
-                    22.5 * i as f64 - 180.0,
-                    i % 4 == 0,
-                )
-            })
-            .collect();
-        let mut batch = Vec::new();
-        facsp.decide_batch(&requests, &station, &mut batch);
-        assert_eq!(batch.len(), requests.len());
-        for (r, d) in requests.iter().zip(&batch) {
-            assert_eq!(*d, facsp.decide(r, &station));
-        }
-    }
-
-    #[test]
     fn simulator_integration_both_controllers() {
         let mut facs = FacsController::paper_default();
         let mut sim = Simulator::new(SimConfig::paper_default().with_seed(21));

@@ -7,7 +7,7 @@
 //! This walks through the layers of the library:
 //! 1. ask FLC1 for the correction value of a single user,
 //! 2. ask FLC2 for the soft accept/reject decision,
-//! 3. screen a burst of arrivals in one `decide_batch` pass,
+//! 3. ask the controller about a burst of arrivals, one `decide` each,
 //! 4. run the full controller against the paper's 40-BU base station.
 //!
 //! Every FLC call below runs on the compiled, allocation-free execute
@@ -35,12 +35,13 @@ fn main() {
         );
     }
 
-    // --- 3. Screen a burst of arrivals in one batch pass ------------------
-    // `Simulator::screen` drives `AdmissionController::decide_batch`: every
-    // request of a tick is judged against the same station snapshot,
-    // without admitting anything — the "what would you do?" view.
+    // --- 3. Judge a burst of arrivals against one station snapshot -------
+    // `decide` admits nothing, so every request of the burst is judged
+    // against the same (empty) station — the "what would you do?" view.
+    // The simulator instead offers requests one at a time, admitting each
+    // accepted call before the next is decided.
     let mut controller = FacsPController::paper_default();
-    let sim = Simulator::new(SimConfig::paper_default());
+    let station = BaseStation::paper_default();
     let burst: Vec<AdmissionRequest> = (0..5)
         .map(|i| AdmissionRequest {
             id: 100 + i,
@@ -55,13 +56,12 @@ fn main() {
             is_handoff: false,
         })
         .collect();
-    let mut decisions = Vec::new();
-    sim.screen(&mut controller, &burst, &mut decisions);
     println!(
-        "\nScreening a burst of {} voice arrivals in one pass:",
+        "\nJudging a burst of {} voice arrivals against one snapshot:",
         burst.len()
     );
-    for (req, d) in burst.iter().zip(&decisions) {
+    for req in &burst {
+        let d = controller.decide(req, &station);
         println!(
             "  user {} ({:>3.0} km/h, {:>4.0}°) -> {} (A/R {:+.3})",
             req.id,
