@@ -618,6 +618,26 @@ fn time_sweep_cells(threads: usize, quick: bool) -> PerfCase {
     }
 }
 
+/// Time the uncached refined FLC2 tabulation ([`Flc2::compile_lut`]: all
+/// three request-class surfaces), reporting nanoseconds per whole build of
+/// the fastest of three runs.  This is the set-up cost every process that
+/// serves `facs-p-lut` pays once.  Quick and full mode build the same
+/// tables, so the case keeps one name across modes and `--check` gates it.
+fn time_lut_build(flc2: &Flc2) -> PerfCase {
+    const RUNS: u64 = 3;
+    let mut best_ns = f64::INFINITY;
+    for _ in 0..RUNS {
+        let start = Instant::now();
+        std::hint::black_box(flc2.compile_lut().expect("paper parameters tabulate"));
+        best_ns = best_ns.min(start.elapsed().as_nanos() as f64);
+    }
+    PerfCase {
+        name: "lut/flc2 tabulate (refined, 3 classes)".to_string(),
+        ns_per_iter: best_ns,
+        iters: RUNS,
+    }
+}
+
 /// Time one metro-scale run of the sharded engine at a given worker
 /// thread count, reporting nanoseconds *per processed event* and the peak
 /// concurrent population.
@@ -810,6 +830,7 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
             )
         },
     ));
+    cases.push(time_lut_build(&flc2));
     let lut = flc2.compile_lut().expect("paper parameters tabulate");
     cases.push(time_case("lut/flc2 decision", iters * 10, || {
         lut.decision_value(

@@ -6,7 +6,9 @@ use cellsim::geometry::{CellId, Point};
 use cellsim::sim::AdmissionRequest;
 use cellsim::station::BaseStation;
 use cellsim::traffic::ServiceClass;
-use facs::{FacsController, FacsPController, Flc1, Flc2, PriorityPolicy};
+use facs::{DistanceFlc1, FacsController, FacsPController, Flc1, Flc2, PriorityPolicy};
+use fuzzy::compile::CompiledEngine;
+use fuzzy::engine::MamdaniEngine;
 use proptest::prelude::*;
 
 fn class_from_index(i: usize) -> ServiceClass {
@@ -54,6 +56,72 @@ fn station_with(occupied: u32) -> BaseStation {
         left -= 1;
     }
     s
+}
+
+/// The compiled engine must reproduce the interpreted one bit for bit:
+/// the crisp output and the aggregated set it was defuzzified from.
+/// `empty_default` is the crisp value both report when no rule fires.
+fn check_compiled_matches_interpreted(
+    engine: &MamdaniEngine,
+    compiled: &CompiledEngine,
+    inputs: &[f64],
+    empty_default: f64,
+) {
+    let output = engine.outputs()[0].name();
+    let mut scratch = compiled.scratch();
+    let crisp = compiled.infer_into(inputs, &mut scratch)[0];
+    let reference = engine.infer(inputs).unwrap();
+    let interpreted = reference.crisp_or(output, empty_default);
+    assert_eq!(
+        crisp.to_bits(),
+        interpreted.to_bits(),
+        "crisp at {inputs:?}"
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(scratch.aggregated(fuzzy::VarId::from_index(0))),
+        bits(reference.aggregated(output).unwrap().degrees()),
+        "aggregated set at {inputs:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flc1_compiled_matches_interpreted_off_grid(
+        speed in 0.0f64..=120.0,
+        angle in -180.0f64..=180.0,
+        sr in 0.0f64..=10.0,
+    ) {
+        let flc1 = Flc1::paper_default().unwrap();
+        check_compiled_matches_interpreted(flc1.engine(), flc1.compiled(), &[speed, angle, sr], 0.5);
+    }
+
+    #[test]
+    fn distance_flc1_compiled_matches_interpreted_off_grid(
+        speed in 0.0f64..=120.0,
+        angle in -180.0f64..=180.0,
+        distance in 0.0f64..=1000.0,
+    ) {
+        let flc1 = DistanceFlc1::paper_default().unwrap();
+        check_compiled_matches_interpreted(
+            flc1.engine(),
+            flc1.compiled(),
+            &[speed, angle, distance],
+            0.5,
+        );
+    }
+
+    #[test]
+    fn flc2_compiled_matches_interpreted_off_grid(
+        cv in 0.0f64..=1.0,
+        rq in 0.0f64..=10.0,
+        cs in 0.0f64..=40.0,
+    ) {
+        let flc2 = Flc2::paper_default().unwrap();
+        check_compiled_matches_interpreted(flc2.engine(), flc2.compiled(), &[cv, rq, cs], 0.0);
+    }
 }
 
 proptest! {

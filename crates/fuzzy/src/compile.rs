@@ -17,6 +17,12 @@
 //! * every consequent term's membership function is pre-sampled on the
 //!   engine's output grid, so aggregation is `min`/`max` over arrays with
 //!   no membership evaluation;
+//! * each pre-sampled term also records its *support window*: the
+//!   `[lo, hi)` sample range outside of which every sample is exactly
+//!   `+0.0` (tested on the bits, so a `-0.0` sample stays inside).  Under
+//!   max aggregation a fired term is aggregated over its window only, and
+//!   the centroid runs over the union of the fired terms' windows (see
+//!   [Support windows](#support-windows));
 //! * all working memory lives in a caller-owned [`Scratch`], so the
 //!   steady-state path [`CompiledEngine::infer_into`] performs **zero heap
 //!   allocations** (asserted by a counting-allocator test).
@@ -26,6 +32,34 @@
 //! `MamdaniEngine::infer` + [`crate::Defuzzifier`] produce.  This is what
 //! lets the FACS controllers switch to the compiled path without moving a
 //! single simulation result.
+//!
+//! # Support windows
+//!
+//! A consequent term of a paper controller is non-zero on a small part of
+//! its universe, yet a full-grid kernel pays for every sample of every
+//! fired term.  The max-aggregation path skips the samples outside a
+//! term's support window, and the centroid skips the samples outside the
+//! union of the fired windows.  Both skips are exact, bit for bit:
+//!
+//! * outside its window a term's samples are `+0.0`, and the fired height
+//!   `h` is positive, so the skipped step is `max(a, min(+0, h))` (clip)
+//!   or `max(a, +0 · h)` (scale), i.e. `max(a, +0)`.  Aggregation starts
+//!   from `aggregated.fill(0.0)` and only takes maxima of non-negative
+//!   degrees, so `a ≥ +0` and the step leaves `a` unchanged:
+//!   [`Scratch::aggregated`] still holds the full, exact set.  (A `-0.0`
+//!   degree can only come from a `-0.0` sample; none of the built-in
+//!   membership functions produces one, and the crisp result ignores the
+//!   sign of a zero degree anyway, as the next point shows);
+//! * outside every fired window the aggregated set is `+0.0`, so the
+//!   skipped centroid terms add `±0` to `num` and `den`.  Both sums start
+//!   at `+0.0` and can never become `-0.0` (a rounded sum is `-0.0` only
+//!   when both addends are), so adding `±0` leaves them bitwise
+//!   unchanged.  The endpoint half weights at indices `0` and `n − 1`
+//!   apply exactly when the window reaches them, and the summation order
+//!   is unchanged.
+//!
+//! The general (non-max) aggregation path and the other defuzzifiers run
+//! over the full grid as before.
 //!
 //! # Quick example
 //!
@@ -202,6 +236,10 @@ pub struct CompiledEngine {
     /// Pre-sampled consequent membership functions: one `resolution`-sized
     /// window per flat output term.
     term_samples: Vec<f64>,
+    /// Support window per flat output term: the `[lo, hi)` sample range
+    /// outside of which every sample is `+0.0` (`lo == hi` when the whole
+    /// term samples to `+0.0`).
+    term_windows: Vec<(u32, u32)>,
     /// Pre-computed sample grids: one `resolution`-sized window per output.
     xs: Vec<f64>,
     /// Crisp value reported when no rule fired for an output (defaults to
@@ -250,6 +288,7 @@ impl CompiledEngine {
         let mut output_term_offsets = Vec::with_capacity(outputs.len() + 1);
         let mut output_term_names = Vec::new();
         let mut term_samples = Vec::new();
+        let mut term_windows = Vec::new();
         let mut xs = Vec::with_capacity(outputs.len() * resolution);
         let mut empty_defaults = Vec::with_capacity(outputs.len());
         output_term_offsets.push(0u32);
@@ -264,9 +303,11 @@ impl CompiledEngine {
             for t in v.terms() {
                 output_term_names.push(t.name().to_string());
                 let mf = t.membership_function();
+                let sample_start = term_samples.len();
                 for &x in &xs[grid_start..grid_start + resolution] {
                     term_samples.push(mf.membership(x));
                 }
+                term_windows.push(support_window(&term_samples[sample_start..]));
             }
             flat_terms += v.term_count();
             output_term_offsets.push(as_u32(flat_terms));
@@ -338,6 +379,7 @@ impl CompiledEngine {
             output_term_offsets,
             output_term_names,
             term_samples,
+            term_windows,
             xs,
             empty_defaults,
             resolution,
@@ -511,9 +553,12 @@ impl CompiledEngine {
                     if height == 0.0 {
                         continue;
                     }
-                    let samples =
-                        &self.term_samples[flat * self.resolution..(flat + 1) * self.resolution];
-                    let agg = &mut scratch.aggregated[agg_start..agg_start + self.resolution];
+                    // Only the term's support window: outside it the step
+                    // is `max(a, +0)`, a no-op (see the module docs).
+                    let (lo, hi) = self.term_window(flat);
+                    let samples_start = flat * self.resolution;
+                    let samples = &self.term_samples[samples_start + lo..samples_start + hi];
+                    let agg = &mut scratch.aggregated[agg_start + lo..agg_start + hi];
                     // `SNorm::Maximum.apply` is `max` plus degree clamps;
                     // every operand here is already in [0, 1], so plain
                     // `f64::max` is bit-identical and branch-free.
@@ -562,17 +607,56 @@ impl CompiledEngine {
             }
         }
 
+        let windowed_centroid =
+            self.fast_max_aggregation && self.defuzzifier == Defuzzifier::Centroid;
         for out in 0..self.output_bounds.len() {
             let agg = &scratch.aggregated[out * self.resolution..(out + 1) * self.resolution];
             let xs = &self.xs[out * self.resolution..(out + 1) * self.resolution];
-            scratch.crisp[out] = if agg.iter().all(|&d| d == 0.0) {
-                self.empty_defaults[out]
+            let (min, max) = self.output_bounds[out];
+            // Outside the fired windows the set is exactly `+0.0`, so the
+            // empty check and the centroid can skip it (see the module
+            // docs); every other combination runs over the full grid.
+            let window = if windowed_centroid {
+                self.fired_window(out, &scratch.term_strengths)
             } else {
-                let (min, max) = self.output_bounds[out];
+                0..self.resolution
+            };
+            scratch.crisp[out] = if agg[window.clone()].iter().all(|&d| d == 0.0) {
+                self.empty_defaults[out]
+            } else if windowed_centroid {
+                centroid(agg, xs, window, min, max)
+            } else {
                 defuzzify_slice(self.defuzzifier, agg, xs, min, max)
             };
         }
         &scratch.crisp
+    }
+
+    /// Support window of flat output term `flat`, as sample indices.
+    #[inline]
+    fn term_window(&self, flat: usize) -> (usize, usize) {
+        let (lo, hi) = self.term_windows[flat];
+        (lo as usize, hi as usize)
+    }
+
+    /// The smallest sample range covering the support windows of output
+    /// `out`'s fired terms (per the max-aggregation `term_strengths`);
+    /// empty when no term with a non-empty window fired.
+    #[inline]
+    fn fired_window(&self, out: usize, term_strengths: &[f64]) -> std::ops::Range<usize> {
+        let terms =
+            self.output_term_offsets[out] as usize..self.output_term_offsets[out + 1] as usize;
+        let (mut lo, mut hi) = (self.resolution, 0);
+        for (&strength, &(term_lo, term_hi)) in term_strengths[terms.clone()]
+            .iter()
+            .zip(&self.term_windows[terms])
+        {
+            if strength != 0.0 && term_lo < term_hi {
+                lo = lo.min(term_lo as usize);
+                hi = hi.max(term_hi as usize);
+            }
+        }
+        lo.min(hi)..hi
     }
 
     /// Convenience wrapper over [`CompiledEngine::infer_into`] that
@@ -660,6 +744,59 @@ fn as_u32(n: usize) -> u32 {
     u32::try_from(n).expect("compiled engine index spaces fit in u32")
 }
 
+/// The `[lo, hi)` range of `samples` outside of which every sample is
+/// `+0.0`, by bits — a `-0.0` sample counts as inside.  `(0, 0)` when
+/// every sample is `+0.0`.
+fn support_window(samples: &[f64]) -> (u32, u32) {
+    let inside = |s: &f64| s.to_bits() != 0;
+    match samples.iter().position(inside) {
+        Some(lo) => {
+            let hi = samples.iter().rposition(inside).map_or(lo, |i| i + 1);
+            (as_u32(lo), as_u32(hi))
+        }
+        None => (0, 0),
+    }
+}
+
+/// Centroid of the sampled set `degrees` over the sample range `window`,
+/// with the exact operation sequence of `defuzz::centroid` (end points get
+/// half weight).  The samples outside `window` must all be `±0.0`: they
+/// would only add `±0` to sums that start at `+0.0`, which leaves them
+/// bitwise unchanged, so the result is the full-grid centroid.
+fn centroid(
+    degrees: &[f64],
+    xs: &[f64],
+    window: std::ops::Range<usize>,
+    min: f64,
+    max: f64,
+) -> f64 {
+    let n = degrees.len();
+    // The interior branch of the reference fold is hoisted out of the
+    // loop — `1.0 * mu * x` and `mu * x` are the same bits, and the
+    // `0.0 + v` first additions keep the signed-zero bits of the original
+    // fold.
+    let mut num = 0.0;
+    let mut den = 0.0;
+    if window.start == 0 {
+        num += 0.5 * degrees[0] * xs[0];
+        den += 0.5 * degrees[0];
+    }
+    for i in window.start.max(1)..window.end.min(n - 1) {
+        let mu = degrees[i];
+        num += mu * xs[i];
+        den += mu;
+    }
+    if window.end == n {
+        num += 0.5 * degrees[n - 1] * xs[n - 1];
+        den += 0.5 * degrees[n - 1];
+    }
+    if den == 0.0 {
+        0.5 * (min + max)
+    } else {
+        num / den
+    }
+}
+
 /// Defuzzify a sampled set with the exact operation sequence of
 /// [`Defuzzifier::defuzzify`] on a [`crate::FuzzySet`], operating on the
 /// pre-computed grid instead of recomputing `x_at` per sample.
@@ -668,29 +805,7 @@ fn as_u32(n: usize) -> u32 {
 fn defuzzify_slice(method: Defuzzifier, degrees: &[f64], xs: &[f64], min: f64, max: f64) -> f64 {
     let n = degrees.len();
     match method {
-        Defuzzifier::Centroid => {
-            // Same accumulation order as defuzz::centroid (end points get
-            // half weight), with the interior branch hoisted out of the
-            // loop — `1.0 * mu * x` and `mu * x` are the same bits, and
-            // the `0.0 + v` first additions keep the signed-zero bits of
-            // the original fold.
-            let mut num = 0.0;
-            let mut den = 0.0;
-            num += 0.5 * degrees[0] * xs[0];
-            den += 0.5 * degrees[0];
-            for i in 1..n - 1 {
-                let mu = degrees[i];
-                num += mu * xs[i];
-                den += mu;
-            }
-            num += 0.5 * degrees[n - 1] * xs[n - 1];
-            den += 0.5 * degrees[n - 1];
-            if den == 0.0 {
-                0.5 * (min + max)
-            } else {
-                num / den
-            }
-        }
+        Defuzzifier::Centroid => centroid(degrees, xs, 0..n, min, max),
         Defuzzifier::Bisector => {
             let total: f64 = degrees.iter().sum();
             if total == 0.0 {
@@ -1019,6 +1134,170 @@ mod tests {
         other.add_rule_str("IF t IS x THEN o IS y").unwrap();
         let mut foreign = other.compile().unwrap().scratch();
         let _ = c.infer_into(&[1.0, 1.0], &mut foreign);
+    }
+
+    /// `c` with every support window widened to the full grid: the
+    /// full-grid kernel the windows must reproduce bit for bit.
+    fn full_grid(c: &CompiledEngine) -> CompiledEngine {
+        let mut full = c.clone();
+        let n = as_u32(full.resolution);
+        full.term_windows.fill((0, n));
+        full
+    }
+
+    fn assert_bits_eq(a: &[f64], b: &[f64], context: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{context}");
+    }
+
+    #[test]
+    fn support_window_keeps_negative_zero_inside() {
+        assert_eq!(support_window(&[0.0, -0.0, 0.5, 0.0]), (1, 3));
+        assert_eq!(support_window(&[0.25, 0.0, 0.0, -0.0]), (0, 4));
+        assert_eq!(support_window(&[-0.0]), (0, 1));
+        assert_eq!(support_window(&[0.0, 0.0]), (0, 0));
+    }
+
+    #[test]
+    fn aggregated_set_matches_interpreted_bit_for_bit() {
+        let e = fan_engine();
+        let c = e.compile().unwrap();
+        let fan = c.output_id("fan").unwrap();
+        let mut scratch = c.scratch();
+        for t in 0..=40 {
+            for h in 0..=10 {
+                let inputs = [f64::from(t) + 0.3, f64::from(h) * 9.7];
+                c.infer_into(&inputs, &mut scratch);
+                let reference = e.infer(&inputs).unwrap();
+                assert_bits_eq(
+                    scratch.aggregated(fan),
+                    reference.aggregated("fan").unwrap().degrees(),
+                    &format!("aggregated set at {inputs:?}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn windows_reaching_both_ends_keep_endpoint_half_weights() {
+        let t = LinguisticVariable::builder("t", 0.0, 10.0)
+            .triangle("cold", 0.0, 0.0, 5.0)
+            .triangle("mild", 2.0, 5.0, 8.0)
+            .triangle("hot", 5.0, 10.0, 10.0)
+            .build()
+            .unwrap();
+        let o = LinguisticVariable::builder("o", -4.0, 6.0)
+            .left_shoulder("low", -2.0, 1.0)
+            .trapezoid("all", -4.0, -4.0, 6.0, 6.0)
+            .right_shoulder("high", 1.0, 4.0)
+            .build()
+            .unwrap();
+        let mut e = MamdaniEngine::builder().input(t).output(o).build().unwrap();
+        e.add_rules_str([
+            "IF t IS cold THEN o IS low",
+            "IF t IS mild THEN o IS all",
+            "IF t IS hot THEN o IS high",
+        ])
+        .unwrap();
+        let c = e.compile().unwrap();
+        let n = c.resolution();
+        // `low` starts at sample 0, `high` ends at sample n - 1, and `all`
+        // spans the whole grid.
+        assert_eq!(c.term_window(0).0, 0);
+        assert!(c.term_window(0).1 < n);
+        assert_eq!(c.term_window(1), (0, n));
+        assert!(c.term_window(2).0 > 0);
+        assert_eq!(c.term_window(2).1, n);
+
+        let full = full_grid(&c);
+        let o_id = c.output_id("o").unwrap();
+        let (mut scratch, mut full_scratch) = (c.scratch(), full.scratch());
+        for step in 0..=100 {
+            let inputs = [f64::from(step) * 0.1];
+            let crisp = c.infer_into(&inputs, &mut scratch)[0];
+            let full_crisp = full.infer_into(&inputs, &mut full_scratch)[0];
+            let reference = e.infer(&inputs).unwrap();
+            let interpreted = reference.crisp_or("o", 1.0);
+            assert_eq!(crisp.to_bits(), interpreted.to_bits(), "t = {inputs:?}");
+            assert_eq!(crisp.to_bits(), full_crisp.to_bits(), "t = {inputs:?}");
+            assert_bits_eq(
+                scratch.aggregated(o_id),
+                reference.aggregated("o").unwrap().degrees(),
+                &format!("aggregated set at t = {inputs:?}"),
+            );
+        }
+    }
+
+    #[test]
+    fn scale_products_that_all_underflow_give_the_empty_default() {
+        let t = LinguisticVariable::builder("t", 0.0, 1.0)
+            .triangle("on", 0.0, 1.0, 1.0)
+            .build()
+            .unwrap();
+        // A gaussian centred far outside the universe: every sample is a
+        // tiny positive degree (~1e-87 to ~1e-79), so the term's window is
+        // the whole grid.
+        let o = LinguisticVariable::builder("o", 0.0, 1.0)
+            .gaussian("faint", 20.0, 1.0)
+            .build()
+            .unwrap();
+        let mut e = MamdaniEngine::builder()
+            .input(t)
+            .output(o)
+            .implication(Implication::Scale)
+            .build()
+            .unwrap();
+        e.add_rule(
+            crate::rule::Rule::parse("IF t IS on THEN o IS faint")
+                .unwrap()
+                .with_weight(1e-250)
+                .unwrap(),
+        )
+        .unwrap();
+        let c = e.compile().unwrap();
+        assert_eq!(c.term_window(0), (0, c.resolution()));
+        let o_id = c.output_id("o").unwrap();
+        let mut scratch = c.scratch();
+        // The rule fires (height 1e-250), but every `sample * height`
+        // underflows to +0.0: the set is empty and the default applies.
+        let crisp = c.infer_into(&[1.0], &mut scratch)[0];
+        assert!(scratch.firing_strengths()[0] > 0.0);
+        assert!(scratch.aggregated(o_id).iter().all(|d| d.to_bits() == 0));
+        assert_eq!(crisp, 0.5);
+        let interpreted = e.infer(&[1.0]).unwrap().crisp_or("o", 0.5);
+        assert_eq!(crisp.to_bits(), interpreted.to_bits());
+    }
+
+    #[test]
+    fn negative_zero_sample_stays_inside_its_window() {
+        let e = fan_engine();
+        let mut c = e.compile().unwrap();
+        let n = c.resolution();
+        // Plant a -0.0 sample in `Fast` (flat term 2), far left of its
+        // natural support [50, 100].
+        let fast = 2 * n;
+        let natural = c.term_window(2);
+        assert!(natural.0 > 3);
+        c.term_samples[fast + 3] = -0.0;
+        c.term_windows[2] = support_window(&c.term_samples[fast..fast + n]);
+        assert_eq!(c.term_window(2), (3, natural.1));
+
+        let full = full_grid(&c);
+        let fan = c.output_id("fan").unwrap();
+        let (mut scratch, mut full_scratch) = (c.scratch(), full.scratch());
+        for t in 0..=40 {
+            for h in [0.0, 35.0, 80.0] {
+                let inputs = [f64::from(t), h];
+                let crisp = c.infer_into(&inputs, &mut scratch)[0];
+                let full_crisp = full.infer_into(&inputs, &mut full_scratch)[0];
+                assert_eq!(crisp.to_bits(), full_crisp.to_bits(), "at {inputs:?}");
+                assert_bits_eq(
+                    scratch.aggregated(fan),
+                    full_scratch.aggregated(fan),
+                    &format!("aggregated set at {inputs:?}"),
+                );
+            }
+        }
     }
 
     #[test]
