@@ -9,7 +9,7 @@
 //!              [--restore PATH] [--release-on-disconnect]
 //! admitd bench [--addr H:P] [--scenario NAME] [--connections N]
 //!              [--requests N] [--seed N] [--retries N]
-//!              [--deadline-ms MS] [--json]
+//!              [--deadline-ms MS] [--wait-ready SECS] [--json]
 //! admitd check-metrics PATH
 //! ```
 //!
@@ -19,9 +19,11 @@
 //! `--snapshot`/`--restore` and `--release-on-disconnect` are the
 //! robustness toolkit documented in `docs/FAULTS.md`.
 
+use std::io::{Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use admitd::{client, parse_controller, ChaosConfig, Server, ServerConfig, World, WorldConfig};
 use cellsim::SimConfig;
@@ -60,7 +62,7 @@ USAGE:
                  [--restore PATH] [--release-on-disconnect]
     admitd bench [--addr HOST:PORT] [--scenario NAME] [--connections N]
                  [--requests N] [--seed N] [--retries N]
-                 [--deadline-ms MS] [--json]
+                 [--deadline-ms MS] [--wait-ready SECS] [--json]
     admitd check-metrics PATH
 
 Controllers: facs-p (default), facs-p-lut, facs, scc, always-accept,
@@ -72,7 +74,11 @@ delays and truncated frames server-side; --snapshot checkpoints world
 state every --snapshot-every seconds (and on shutdown) for --restore
 after a crash; --release-on-disconnect frees a dropped client's calls.
 bench survives all of it with --retries reconnect attempts per
-connection and an optional per-request --deadline-ms.";
+connection and an optional per-request --deadline-ms.
+
+bench --wait-ready SECS polls the server's /healthz until it answers
+(a facs-p-lut server tabulates before it binds) and fails if it does
+not within SECS seconds.";
 
 /// Print the usage text to stdout (a successful `--help`).
 fn print_usage() -> Result<(), String> {
@@ -218,6 +224,7 @@ fn cmd_bench(rest: &[String]) -> Result<(), String> {
     let mut scenario: Option<String> = None;
     let mut seed: Option<u64> = None;
     let mut json = false;
+    let mut wait_ready: Option<Duration> = None;
     let mut args = Args::new(rest);
     while let Some(flag) = args.next_flag() {
         match flag {
@@ -243,6 +250,17 @@ fn cmd_bench(rest: &[String]) -> Result<(), String> {
                 }
                 config.retry.deadline = Some(Duration::from_millis(ms));
             }
+            "--wait-ready" => {
+                let secs: f64 = parse_num(flag, args.value(flag)?)?;
+                wait_ready = Some(
+                    Duration::try_from_secs_f64(secs)
+                        .ok()
+                        .filter(|wait| !wait.is_zero())
+                        .ok_or_else(|| {
+                            format!("{flag}: the wait must be a positive number of seconds")
+                        })?,
+                );
+            }
             "--json" => json = true,
             "--help" | "-h" => return print_usage(),
             other => return Err(format!("unknown bench flag `{other}`\n{USAGE}")),
@@ -253,6 +271,9 @@ fn cmd_bench(rest: &[String]) -> Result<(), String> {
     }
     if let Some(seed) = seed {
         config.sim.seed = seed;
+    }
+    if let Some(limit) = wait_ready {
+        wait_until_healthy(&config.addr, limit)?;
     }
     let report = client::run(&config).map_err(|e| format!("bench failed: {e}"))?;
     if json {
@@ -282,6 +303,61 @@ fn cmd_bench(rest: &[String]) -> Result<(), String> {
         return Err("every request errored".to_string());
     }
     Ok(())
+}
+
+/// Poll `GET /healthz` on `addr` until it answers `200`, for at most
+/// `limit`; the error names the address and the last failure.
+fn wait_until_healthy(addr: &str, limit: Duration) -> Result<(), String> {
+    const POLL: Duration = Duration::from_millis(50);
+    let started = Instant::now();
+    loop {
+        let failure = match probe_healthz(addr, POLL.max(limit / 10)) {
+            Ok(()) => return Ok(()),
+            Err(e) => e,
+        };
+        let waited = started.elapsed();
+        if waited >= limit {
+            return Err(format!(
+                "server at {addr} not ready after {:.1}s ({failure}); is `admitd serve` running?",
+                waited.as_secs_f64()
+            ));
+        }
+        std::thread::sleep(POLL.min(limit - waited));
+    }
+}
+
+/// One `GET /healthz` round trip to the first of `addr`'s addresses that
+/// accepts, each socket step bounded by `timeout`.
+fn probe_healthz(addr: &str, timeout: Duration) -> Result<(), String> {
+    let mut connected = Err("address resolves to nothing".to_string());
+    for target in addr.to_socket_addrs().map_err(|e| e.to_string())? {
+        connected = TcpStream::connect_timeout(&target, timeout).map_err(|e| e.to_string());
+        if connected.is_ok() {
+            break;
+        }
+    }
+    let mut stream = connected?;
+    stream
+        .set_read_timeout(Some(timeout))
+        .and_then(|()| stream.set_write_timeout(Some(timeout)))
+        .and_then(|()| {
+            stream.write_all(
+                format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
+                    .as_bytes(),
+            )
+        })
+        .map_err(|e| e.to_string())?;
+    let mut response = Vec::new();
+    stream
+        .read_to_end(&mut response)
+        .map_err(|e| e.to_string())?;
+    let status = String::from_utf8_lossy(&response);
+    let status = status.lines().next().unwrap_or("");
+    if status.starts_with("HTTP/1.1 200") {
+        Ok(())
+    } else {
+        Err(format!("/healthz answered `{status}`"))
+    }
 }
 
 fn cmd_check_metrics(rest: &[String]) -> Result<(), String> {

@@ -3,7 +3,8 @@
 //! nonzero with a message that names the problem, never a panic or a
 //! silent success.
 
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::Duration;
 
 fn admitd(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_admitd"))
@@ -89,6 +90,10 @@ fn bad_invocations_exit_nonzero_with_usage_or_reason() {
         (vec!["serve", "--snapshot-every", "-1"], "--snapshot-every"),
         (vec!["bench", "--deadline-ms", "0"], "--deadline-ms"),
         (vec!["bench", "--connections", "zero"], "--connections"),
+        (vec!["bench", "--wait-ready", "0"], "--wait-ready"),
+        (vec!["bench", "--wait-ready", "soon"], "--wait-ready"),
+        (vec!["bench", "--wait-ready", "1e30"], "--wait-ready"),
+        (vec!["bench", "--wait-ready", "-1"], "--wait-ready"),
     ] {
         let out = admitd(&args);
         assert!(!out.status.success(), "{args:?} must fail");
@@ -114,6 +119,7 @@ fn help_exits_zero_and_documents_the_robustness_flags() {
         "--release-on-disconnect",
         "--retries",
         "--deadline-ms",
+        "--wait-ready",
     ] {
         assert!(text.contains(flag), "usage must document {flag}");
     }
@@ -131,4 +137,68 @@ fn subcommand_help_prints_usage_and_exits_zero() {
         let text = String::from_utf8_lossy(&out.stdout).into_owned();
         assert!(text.contains("USAGE"), "`admitd {command} --help`: {text}");
     }
+}
+
+/// A child process killed when dropped, so a failed assertion never
+/// leaks a server.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn bench_wait_ready_waits_for_a_server_that_starts_late() {
+    let addr = format!("127.0.0.1:{}", dead_port());
+    let bench = Command::new(env!("CARGO_BIN_EXE_admitd"))
+        .args([
+            "bench",
+            "--addr",
+            &addr,
+            "--connections",
+            "1",
+            "--requests",
+            "200",
+            "--wait-ready",
+            "60",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn admitd bench");
+    // Nothing listens yet: the bench must keep polling, not fail.
+    std::thread::sleep(Duration::from_millis(400));
+    let _server = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_admitd"))
+            .args(["serve", "--addr", &addr])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn admitd serve"),
+    );
+    let out = bench.wait_with_output().expect("bench output");
+    assert!(
+        out.status.success(),
+        "bench must run once the server is up: {}",
+        stderr(&out)
+    );
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(text.contains("200 requests"), "bench report: {text}");
+}
+
+#[test]
+fn bench_wait_ready_times_out_with_one_line_and_no_backtrace() {
+    let addr = format!("127.0.0.1:{}", dead_port());
+    let out = admitd(&["bench", "--addr", &addr, "--wait-ready", "0.3"]);
+    assert!(!out.status.success(), "an absent server must fail the wait");
+    let err = stderr(&out);
+    assert_eq!(err.trim_end().lines().count(), 1, "one line: {err}");
+    assert!(
+        err.starts_with("admitd:") && err.contains(&addr) && err.contains("not ready after"),
+        "must say where it waited and that it gave up: {err}"
+    );
+    assert!(!err.contains("panicked"), "no panic: {err}");
 }

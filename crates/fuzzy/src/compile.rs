@@ -14,6 +14,9 @@
 //! * the rule base is flattened into index arrays (antecedent slots into a
 //!   flat fuzzification buffer, consequent slots into flat output-term
 //!   tables);
+//! * each plain AND rule also gets a bit mask of the input terms it reads,
+//!   so a rule that cannot fire is skipped without folding its antecedents
+//!   (see [Active rules](#active-rules));
 //! * every consequent term's membership function is pre-sampled on the
 //!   engine's output grid, so aggregation is `min`/`max` over arrays with
 //!   no membership evaluation;
@@ -60,6 +63,34 @@
 //!
 //! The general (non-max) aggregation path and the other defuzzifiers run
 //! over the full grid as before.
+//!
+//! # Active rules
+//!
+//! A full-grid rule base pays for every rule on every call, yet with
+//! overlapping triangular partitions at most two terms per input are
+//! non-zero: at most 8 rules of the paper's 63-rule FRB1 and 8 of the
+//! 27-rule FRB2 can fire (4 of FRB2 at the 5 and 10 BU request classes,
+//! where the request input sits on a term peak).  At compile
+//! time every AND rule whose antecedents are all non-negated gets a `u64`
+//! mask of the flat input-term slots it reads.  Fuzzification records the
+//! terms whose degree is non-zero.  Then, in both aggregation paths, a
+//! branch-free screen gives every rule the strength `0.0 * weight` and
+//! lists, in rule-base order, the rules whose mask is fully covered; only
+//! those are folded and aggregated.  For a skipped rule `0.0 * weight` is
+//! exactly what the fold would have produced:
+//!
+//! * one of its (non-negated) antecedents has a degree of `±0`, and every
+//!   t-norm is `0` when one operand is `0` (degrees are finite and
+//!   clamped, so no NaN can intervene);
+//! * the fold returns the literal `+0.0` as soon as its accumulator
+//!   compares equal to zero, whichever antecedent that is, so the
+//!   reported strength is `+0.0 * weight` either way and the rule
+//!   contributes nothing to the aggregated set.
+//!
+//! OR rules (a zero operand does not decide an s-norm), rules with a
+//! negated antecedent (the complement of `0` is `1`) and engines with more
+//! than 64 input terms get the mask `0`, which every call covers: they run
+//! the fold unchanged.
 //!
 //! # Quick example
 //!
@@ -178,6 +209,9 @@ pub struct Scratch {
     fuzzified: Vec<f64>,
     /// Per-rule firing strength (weight applied), in rule-base order.
     strengths: Vec<f64>,
+    /// Rules whose term mask the current inputs cover (the only ones that
+    /// can fire), in rule-base order; the first entries are live.
+    candidates: Vec<usize>,
     /// Maximum firing strength per output term (max-aggregation fast path).
     term_strengths: Vec<f64>,
     /// Aggregated output sets, one `resolution`-sized window per output.
@@ -222,6 +256,11 @@ pub struct CompiledEngine {
     mfs: Vec<MembershipFunction>,
     // --- rules ------------------------------------------------------------
     rule_weights: Vec<f64>,
+    /// Flat input-term slots each rule reads, as a bit mask; the rule can
+    /// fire only when every one of them has a non-zero degree.  `0` (always
+    /// folded) for OR rules, rules with a negated antecedent, and engines
+    /// with more than 64 input terms (see [Active rules](self#active-rules)).
+    rule_masks: Vec<u64>,
     rule_connectives: Vec<Connective>,
     rule_ante_offsets: Vec<u32>,
     antecedents: Vec<CompiledAntecedent>,
@@ -323,6 +362,7 @@ impl CompiledEngine {
         };
 
         let mut rule_weights = Vec::with_capacity(engine.rules().len());
+        let mut rule_masks = Vec::with_capacity(engine.rules().len());
         let mut rule_connectives = Vec::with_capacity(engine.rules().len());
         let mut rule_ante_offsets = vec![0u32];
         let mut antecedents = Vec::new();
@@ -331,6 +371,10 @@ impl CompiledEngine {
         for rule in engine.rules().rules() {
             rule_weights.push(rule.weight());
             rule_connectives.push(rule.connective());
+            let maskable = rule.connective() == Connective::And
+                && mfs.len() <= 64
+                && rule.antecedents().iter().all(|a| !a.negated);
+            let mut mask = 0u64;
             for a in rule.antecedents() {
                 let var_idx = find_var(inputs, &a.variable)?;
                 let term_idx =
@@ -340,11 +384,16 @@ impl CompiledEngine {
                             variable: a.variable.clone(),
                             term: a.term.clone(),
                         })?;
+                let slot = input_term_offsets[var_idx] + as_u32(term_idx);
+                if maskable {
+                    mask |= 1 << slot;
+                }
                 antecedents.push(CompiledAntecedent {
-                    slot: input_term_offsets[var_idx] + as_u32(term_idx),
+                    slot,
                     negated: a.negated,
                 });
             }
+            rule_masks.push(mask);
             rule_ante_offsets.push(as_u32(antecedents.len()));
             for c in rule.consequents() {
                 let out_idx = find_var(outputs, &c.variable)?;
@@ -369,6 +418,7 @@ impl CompiledEngine {
             input_term_names,
             mfs,
             rule_weights,
+            rule_masks,
             rule_connectives,
             rule_ante_offsets,
             antecedents,
@@ -473,6 +523,7 @@ impl CompiledEngine {
         Scratch {
             fuzzified: vec![0.0; self.mfs.len()],
             strengths: vec![0.0; self.rule_weights.len()],
+            candidates: vec![0; self.rule_weights.len()],
             term_strengths: vec![0.0; self.output_term_names.len()],
             aggregated: vec![0.0; self.output_bounds.len() * self.resolution],
             crisp: vec![0.0; self.output_bounds.len()],
@@ -506,6 +557,7 @@ impl CompiledEngine {
         assert!(
             scratch.fuzzified.len() == self.mfs.len()
                 && scratch.strengths.len() == self.rule_weights.len()
+                && scratch.candidates.len() == self.rule_weights.len()
                 && scratch.term_strengths.len() == self.output_term_names.len()
                 && scratch.aggregated.len() == self.output_bounds.len() * self.resolution
                 && scratch.crisp.len() == self.output_bounds.len()
@@ -514,13 +566,19 @@ impl CompiledEngine {
         );
 
         // Fuzzify every input once (clamped into its universe, exactly as
-        // LinguisticVariable::fuzzify does).
+        // LinguisticVariable::fuzzify does), recording the non-zero terms
+        // for the rule masks.
+        let mut active = 0u64;
         for (i, (&raw, &(lo, hi))) in inputs.iter().zip(&self.input_bounds).enumerate() {
             let x = raw.clamp(lo, hi);
             let start = self.input_term_offsets[i] as usize;
             let end = self.input_term_offsets[i + 1] as usize;
             for t in start..end {
-                scratch.fuzzified[t] = self.mfs[t].membership(x);
+                let mu = self.mfs[t].membership(x);
+                scratch.fuzzified[t] = mu;
+                if t < 64 && mu != 0.0 {
+                    active |= 1 << t;
+                }
             }
         }
 
@@ -532,7 +590,8 @@ impl CompiledEngine {
             // exact (max/min/mul are monotone), and typically 2–4x fewer
             // passes for the paper's 63-rule FRB1.
             scratch.term_strengths.fill(0.0);
-            for r in 0..self.rule_weights.len() {
+            let listed = self.screen_rules(active, &mut scratch.strengths, &mut scratch.candidates);
+            for &r in &scratch.candidates[..listed] {
                 let strength = self.firing_strength(r, &scratch.fuzzified) * self.rule_weights[r];
                 scratch.strengths[r] = strength;
                 if strength == 0.0 {
@@ -560,17 +619,18 @@ impl CompiledEngine {
                     let samples = &self.term_samples[samples_start + lo..samples_start + hi];
                     let agg = &mut scratch.aggregated[agg_start + lo..agg_start + hi];
                     // `SNorm::Maximum.apply` is `max` plus degree clamps;
-                    // every operand here is already in [0, 1], so plain
-                    // `f64::max` is bit-identical and branch-free.
+                    // every operand here is already in [0, 1] and never
+                    // NaN, so compare-selects are bit-identical and skip
+                    // `f64::max`/`f64::min`'s NaN handling.
                     match self.implication {
                         Implication::Clip => {
                             for (a, &s) in agg.iter_mut().zip(samples) {
-                                *a = a.max(s.min(height));
+                                *a = max_degree(*a, min_degree(s, height));
                             }
                         }
                         Implication::Scale => {
                             for (a, &s) in agg.iter_mut().zip(samples) {
-                                *a = a.max(s * height);
+                                *a = max_degree(*a, s * height);
                             }
                         }
                     }
@@ -579,7 +639,8 @@ impl CompiledEngine {
         } else {
             // General path: aggregate per fired rule, in rule-base order —
             // the exact operation sequence of the interpreted engine.
-            for r in 0..self.rule_weights.len() {
+            let listed = self.screen_rules(active, &mut scratch.strengths, &mut scratch.candidates);
+            for &r in &scratch.candidates[..listed] {
                 let strength = self.firing_strength(r, &scratch.fuzzified) * self.rule_weights[r];
                 scratch.strengths[r] = strength;
                 if strength == 0.0 {
@@ -672,13 +733,36 @@ impl CompiledEngine {
         self.rule_cons_offsets[rule] as usize..self.rule_cons_offsets[rule + 1] as usize
     }
 
+    /// Give every rule the strength `0.0 * weight` its fold returns when
+    /// one of its terms is inactive, and list in `candidates` the rules
+    /// whose mask the `active` terms cover — the only ones the fold can
+    /// fire (see [Active rules](self#active-rules)).  Returns how many
+    /// were listed.  Branch-free, so the outcome pattern of the masks
+    /// costs no mispredictions.
+    #[inline]
+    fn screen_rules(&self, active: u64, strengths: &mut [f64], candidates: &mut [usize]) -> usize {
+        let mut listed = 0;
+        for (r, ((&mask, &weight), strength)) in self
+            .rule_masks
+            .iter()
+            .zip(&self.rule_weights)
+            .zip(strengths.iter_mut())
+            .enumerate()
+        {
+            *strength = 0.0 * weight;
+            candidates[listed] = r;
+            listed += usize::from(active & mask == mask);
+        }
+        listed
+    }
+
     /// Incremental fold matching `TNorm::fold` / `SNorm::fold` bit for bit.
     ///
     /// Folds stop early at the norm's absorbing element (`T(0, x) = 0` for
     /// every t-norm, `S(1, x) = 1` for every s-norm — the boundary
-    /// conditions the norms module tests), which prunes most of a dense
-    /// rule grid: a typical crisp input activates two terms per variable,
-    /// so the vast majority of rules zero out on their first antecedent.
+    /// conditions the norms module tests).  The rule masks already skip
+    /// the AND rules that would stop on a zero degree, so this mostly
+    /// matters for the unmasked rules (see [Active rules](self#active-rules)).
     #[inline]
     fn firing_strength(&self, rule: usize, fuzzified: &[f64]) -> f64 {
         let lo = self.rule_ante_offsets[rule] as usize;
@@ -737,6 +821,29 @@ impl MamdaniEngine {
     /// [`compile`](crate::compile) module docs).
     pub fn compile(&self) -> Result<CompiledEngine> {
         CompiledEngine::compile(self)
+    }
+}
+
+/// `max` of two membership degrees as a compare-select (no NaN operand
+/// can reach it); `a` is kept on a tie.
+#[inline]
+fn max_degree(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// `min` of a sampled degree and a positive fired height as a
+/// compare-select; the two never tie at a signed zero, so this is
+/// `f64::min` bit for bit.
+#[inline]
+fn min_degree(sample: f64, height: f64) -> f64 {
+    if sample < height {
+        sample
+    } else {
+        height
     }
 }
 
@@ -1297,6 +1404,182 @@ mod tests {
                     &format!("aggregated set at {inputs:?}"),
                 );
             }
+        }
+    }
+
+    /// `n` evenly spaced, overlapping triangles `t0 .. t{n-1}` over
+    /// `[0, 1]`: at most two terms are non-zero at any input.
+    fn partition(name: &str, n: usize) -> LinguisticVariable {
+        let step = 1.0 / (n - 1) as f64;
+        let mut b = LinguisticVariable::builder(name, 0.0, 1.0);
+        for k in 0..n {
+            let peak = k as f64 * step;
+            b = b.triangle(&format!("t{k}"), peak - step, peak, peak + step);
+        }
+        b.build().unwrap()
+    }
+
+    fn weighted(text: &str, weight: f64) -> crate::rule::Rule {
+        crate::rule::Rule::parse(text)
+            .unwrap()
+            .with_weight(weight)
+            .unwrap()
+    }
+
+    /// Deterministic uniform draws in `[0, 1)` (SplitMix64).
+    fn unit_draws(seed: u64) -> impl Iterator<Item = f64> {
+        let mut state = seed;
+        std::iter::repeat_with(move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        })
+    }
+
+    /// Crisp output, `Scratch::firing_strengths` and `Scratch::aggregated`
+    /// of `c` against the interpreted `e`, bit for bit, at `inputs`.
+    fn assert_rule_loop_exact(
+        e: &MamdaniEngine,
+        c: &CompiledEngine,
+        scratch: &mut Scratch,
+        inputs: &[f64],
+    ) {
+        let out = VarId::from_index(0);
+        let (min, max) = c.output_bounds(out);
+        let name = e.outputs()[0].name();
+        let crisp = c.infer_into(inputs, scratch)[0];
+        let reference = e.infer(inputs).unwrap();
+        assert_eq!(
+            crisp.to_bits(),
+            reference.crisp_or(name, 0.5 * (min + max)).to_bits(),
+            "crisp output at {inputs:?}"
+        );
+        assert_bits_eq(
+            scratch.firing_strengths(),
+            reference.firing_strengths(),
+            &format!("firing strengths at {inputs:?}"),
+        );
+        assert_bits_eq(
+            scratch.aggregated(out),
+            reference.aggregated(name).unwrap().degrees(),
+            &format!("aggregated set at {inputs:?}"),
+        );
+    }
+
+    /// Rules the active-rule screen must not skip on a zero degree (OR,
+    /// negated antecedents) next to maskable AND rules, with weights of
+    /// 0 and 0.5.
+    fn mixed_shape_engine(and_norm: TNorm, aggregation: SNorm) -> MamdaniEngine {
+        let mut e = MamdaniEngine::builder()
+            .input(partition("x", 3))
+            .input(partition("y", 4))
+            .input(partition("z", 3))
+            .output(partition("o", 5))
+            .and_norm(and_norm)
+            .aggregation(aggregation)
+            .build()
+            .unwrap();
+        for (text, weight) in [
+            ("IF x IS t0 AND y IS t1 THEN o IS t0", 1.0),
+            ("IF x IS t1 OR z IS t2 THEN o IS t2", 1.0),
+            ("IF x IS NOT t2 AND y IS t3 THEN o IS t4", 1.0),
+            ("IF y IS t0 AND z IS t1 THEN o IS t1", 0.5),
+            ("IF x IS t2 AND y IS t2 AND z IS t0 THEN o IS t3", 0.0),
+            ("IF z IS NOT t0 OR y IS t2 THEN o IS t1", 0.5),
+            ("IF x IS t2 OR y IS t0 THEN o IS t3", 0.0),
+        ] {
+            e.add_rule(weighted(text, weight)).unwrap();
+        }
+        for i in 0..3 {
+            for j in 0..3 {
+                e.add_rule_str(&format!(
+                    "IF x IS t{i} AND z IS t{j} THEN o IS t{}",
+                    (i + j) % 5
+                ))
+                .unwrap();
+            }
+        }
+        e
+    }
+
+    #[test]
+    fn unmaskable_rule_shapes_match_interpreted_bit_for_bit() {
+        for (and_norm, aggregation) in [
+            (TNorm::Minimum, SNorm::Maximum),
+            (TNorm::Product, SNorm::Maximum),
+            (TNorm::Minimum, SNorm::ProbabilisticSum),
+            (TNorm::Product, SNorm::ProbabilisticSum),
+        ] {
+            let e = mixed_shape_engine(and_norm, aggregation);
+            let c = e.compile().unwrap();
+            // Only plain AND rules carry a mask; OR rules and rules with a
+            // negated antecedent always run the fold.
+            let unmasked: Vec<usize> = (0..c.rule_count())
+                .filter(|&r| c.rule_masks[r] == 0)
+                .collect();
+            assert_eq!(unmasked, vec![1, 2, 5, 6]);
+            let mut scratch = c.scratch();
+            // A dense lattice hits every peak and foot, so many degrees are
+            // exactly zero; the draws land off the grid.
+            for i in 0..=12 {
+                for j in 0..=12 {
+                    for k in 0..=12 {
+                        let inputs = [i, j, k].map(|n| f64::from(n) / 12.0);
+                        assert_rule_loop_exact(&e, &c, &mut scratch, &inputs);
+                    }
+                }
+            }
+            let mut draws = unit_draws(7);
+            for _ in 0..2000 {
+                let inputs = [(); 3].map(|()| draws.next().unwrap());
+                assert_rule_loop_exact(&e, &c, &mut scratch, &inputs);
+            }
+        }
+    }
+
+    #[test]
+    fn engines_over_64_input_terms_fold_every_rule() {
+        let mut e = MamdaniEngine::builder()
+            .input(partition("a", 22))
+            .input(partition("b", 22))
+            .input(partition("c", 22))
+            .output(partition("o", 5))
+            .and_norm(TNorm::Product)
+            .build()
+            .unwrap();
+        for i in 0..22 {
+            for j in [i, (i + 1) % 22] {
+                e.add_rule_str(&format!(
+                    "IF a IS t{i} AND b IS t{j} THEN o IS t{}",
+                    (i + j) % 5
+                ))
+                .unwrap();
+            }
+            e.add_rule(weighted(&format!("IF c IS t{i} THEN o IS t{}", i % 5), 0.5))
+                .unwrap();
+        }
+        e.add_rule_str("IF a IS t3 OR c IS t20 THEN o IS t4")
+            .unwrap();
+        e.add_rule_str("IF b IS NOT t0 AND c IS t1 THEN o IS t0")
+            .unwrap();
+        let c = e.compile().unwrap();
+        assert_eq!(c.mfs.len(), 66);
+        assert!(c.rule_masks.iter().all(|&m| m == 0), "masks must be off");
+        let mut scratch = c.scratch();
+        for i in 0..=42 {
+            for j in 0..=42 {
+                for z in [0.0, 0.37, 1.0] {
+                    let inputs = [f64::from(i) / 42.0, f64::from(j) / 42.0, z];
+                    assert_rule_loop_exact(&e, &c, &mut scratch, &inputs);
+                }
+            }
+        }
+        let mut draws = unit_draws(11);
+        for _ in 0..1000 {
+            let inputs = [(); 3].map(|()| draws.next().unwrap());
+            assert_rule_loop_exact(&e, &c, &mut scratch, &inputs);
         }
     }
 
